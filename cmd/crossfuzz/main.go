@@ -106,39 +106,16 @@ func main() {
 	}
 
 	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "crossfuzz: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(filepath.Join(*traceDir, "spans.jsonl"))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crossfuzz: %v\n", err)
-			os.Exit(1)
-		}
-		if err := opts.Tracer.WriteSpans(f); err != nil {
-			f.Close()
+		if err := obs.WriteSpansFile(opts.Tracer, *traceDir, "spans.jsonl"); err != nil {
 			fmt.Fprintf(os.Stderr, "crossfuzz: writing spans: %v\n", err)
 			os.Exit(1)
 		}
-		f.Close()
 		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), filepath.Join(*traceDir, "spans.jsonl"))
 	}
 	if *metricsFile != "" {
-		if err := writeMetrics(opts.Metrics, *metricsFile); err != nil {
+		if err := obs.WriteMetricsFile(opts.Metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "crossfuzz: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }

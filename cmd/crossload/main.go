@@ -99,14 +99,14 @@ func main() {
 	}
 
 	if tracer != nil {
-		if err := writeSpans(tracer, *traceDir); err != nil {
+		if err := obs.WriteSpansFile(tracer, *traceDir, "spans.jsonl"); err != nil {
 			fmt.Fprintf(os.Stderr, "crossload: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %d spans to %s\n", tracer.Len(), filepath.Join(*traceDir, "spans.jsonl"))
 	}
 	if metrics != nil {
-		if err := writeMetrics(metrics, *metricsFile); err != nil {
+		if err := obs.WriteMetricsFile(metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "crossload: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
@@ -245,7 +245,7 @@ func runStorm(seed uint64, sessions int, policies []string) error {
 		sched.Drain(ctx)
 	}()
 
-	stats, err := loadgen.DriveScheduler(sched, loadgen.CrossdStormOptions{
+	stats, err := DriveScheduler(sched, CrossdStormOptions{
 		Seed: seed, Sessions: sessions, Clients: 8,
 		Policy: spec.Policy, Breaker: spec.Breaker,
 		DelayDiv: 100, JobN: 8,
@@ -258,28 +258,4 @@ func runStorm(seed uint64, sessions int, policies []string) error {
 	fmt.Printf("  rejected: queue=%d throttled=%d breaker_shed=%d give_ups=%d breaker_opens=%d\n",
 		stats.RejectQueue, stats.RejectThrottle, stats.BreakerShed, stats.GiveUps, stats.BreakerOpens)
 	return nil
-}
-
-func writeSpans(tr *obs.Tracer, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "spans.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tr.WriteSpans(f)
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }

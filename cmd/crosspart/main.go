@@ -105,40 +105,16 @@ func main() {
 	fmt.Printf("\nreport-hash: %s\n", res.Hash())
 
 	if *traceDir != "" {
-		if err := writeSpans(opts.Tracer, *traceDir); err != nil {
+		if err := obs.WriteSpansFile(opts.Tracer, *traceDir, "spans.jsonl"); err != nil {
 			fmt.Fprintf(os.Stderr, "crosspart: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), filepath.Join(*traceDir, "spans.jsonl"))
 	}
 	if *metricsFile != "" {
-		if err := writeMetrics(opts.Metrics, *metricsFile); err != nil {
+		if err := obs.WriteMetricsFile(opts.Metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "crosspart: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-func writeSpans(tr *obs.Tracer, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "spans.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tr.WriteSpans(f)
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }

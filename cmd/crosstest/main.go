@@ -151,14 +151,14 @@ func main() {
 	}
 
 	if *traceDir != "" {
-		if err := writeSpans(opts.Tracer, *traceDir); err != nil {
+		if err := obs.WriteSpansFile(opts.Tracer, *traceDir, "spans.jsonl"); err != nil {
 			fmt.Fprintf(os.Stderr, "crosstest: writing spans: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("\nWrote %d spans to %s\n", opts.Tracer.Len(), filepath.Join(*traceDir, "spans.jsonl"))
 	}
 	if *metricsFile != "" {
-		if err := writeMetrics(opts.Metrics, *metricsFile); err != nil {
+		if err := obs.WriteMetricsFile(opts.Metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "crosstest: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
@@ -253,30 +253,6 @@ func runVersions(spec string, corpus []core.Input, opts core.RunOptions) {
 		os.Exit(1)
 	}
 	fmt.Print(m.Render())
-}
-
-func writeSpans(tr *obs.Tracer, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "spans.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tr.WriteSpans(f)
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }
 
 func plansIn(opts core.RunOptions) int {

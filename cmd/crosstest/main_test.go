@@ -35,7 +35,7 @@ func TestMetricsExportArithmetic(t *testing.T) {
 	// Exercise the same path the -metrics flag takes, then parse the
 	// file back.
 	dest := filepath.Join(t.TempDir(), "metrics.prom")
-	if err := writeMetrics(reg, dest); err != nil {
+	if err := obs.WriteMetricsFile(reg, dest); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(dest)
@@ -77,14 +77,14 @@ func TestTraceExportWritesSpans(t *testing.T) {
 		t.Fatal("traced run recorded no spans")
 	}
 	dir := t.TempDir()
-	if err := writeSpans(tr, dir); err != nil {
+	if err := obs.WriteSpansFile(tr, dir, "spans.jsonl"); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteSpans(&buf); err != nil {
+	data, err := os.ReadFile(filepath.Join(dir, "spans.jsonl"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != tr.Len() {
+	if lines := bytes.Count(data, []byte("\n")); lines != tr.Len() {
 		t.Errorf("spans.jsonl has %d lines, want %d", lines, tr.Len())
 	}
 }

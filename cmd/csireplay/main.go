@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
@@ -83,22 +82,10 @@ func main() {
 		os.Exit(2)
 	}
 	if registry != nil {
-		if err := writeMetrics(registry, *metricsFile); err != nil {
+		if err := obs.WriteMetricsFile(registry, *metricsFile); err != nil {
 			log.Fatal(err)
 		}
 	}
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }
 
 // propagation prints the §2.3 scenario's cross-system chain and, with
@@ -113,15 +100,7 @@ func propagation(name string) {
 	if *traceDir == "" {
 		return
 	}
-	if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(*traceDir, name+".jsonl"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := tr.WriteSpans(f); err != nil {
+	if err := obs.WriteSpansFile(tr, *traceDir, name+".jsonl"); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -116,19 +116,9 @@ type RunResult struct {
 // Run executes the full cross-test: every input × plan × format, then
 // applies the three oracles and clusters failures into discrepancies.
 func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
-	if opts.Parallel < 0 {
-		return nil, fmt.Errorf("core: Parallel must be non-negative, got %d", opts.Parallel)
-	}
-	d := NewDeployment()
-	if opts.Versions != nil {
-		var err error
-		if d, err = NewSkewDeployment(*opts.Versions); err != nil {
-			return nil, err
-		}
-	}
-	d.SetConf(opts.SparkConf)
-	if opts.Tracer != nil {
-		d.SetTracer(opts.Tracer)
+	d, err := runDeployment(opts)
+	if err != nil {
+		return nil, err
 	}
 	// Plan positions are indexes into the unfiltered Plans() slice: a
 	// family-restricted run (a corpus shard) stamps the same case ranks
@@ -167,10 +157,6 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		}
 	}
 	execute := func(c *CaseResult) {
-		var started time.Time
-		if opts.Metrics != nil {
-			started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-		}
 		if opts.Tracer != nil {
 			c.Span = opts.Tracer.Span(nil, IfaceSystem(c.Plan.Write), csi.DataPlane, c.Plan.Name()+"/"+c.Format).
 				Set("input", c.Input.Name).Set("table", c.Table)
@@ -196,8 +182,6 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		}
 		c.Span.Fail(c.Write.Err).Fail(c.Read.Err).End()
 		if opts.Metrics != nil {
-			opts.Metrics.Counter("crosstest_cases_total").Inc()
-			opts.Metrics.Counter("crosstest_plan_cases_total", "plan", c.Plan.Name(), "format", c.Format).Inc()
 			// Each case feeds exactly one value-checking oracle: valid
 			// inputs the write/read oracle, invalid inputs the
 			// error-handling oracle — so the per-oracle counts partition
@@ -207,12 +191,13 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 				oracle = csi.OracleErrorHandling
 			}
 			opts.Metrics.Counter("crosstest_oracle_cases_total", "oracle", oracle.String()).Inc()
-			opts.Metrics.Histogram("crosstest_case_duration_ms", nil, "family", c.Plan.Family).
-				//crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-				Observe(float64(time.Since(started)) / float64(time.Millisecond))
 		}
 	}
-	if err := runPool(opts.Context, opts.Parallel, cases, execute); err != nil {
+	err = ForEach(opts.Context, opts.Parallel, len(cases), func(i int) {
+		c := cases[i]
+		timeCase(opts.Metrics, crosstestSeries, c.Plan, c.Format, func() { execute(c) })
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -220,12 +205,7 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 	if d.Pair != nil {
 		failures = append(failures, versionSkewOracle(cases)...)
 	}
-	if opts.Tracer != nil {
-		for i := range failures {
-			failures[i].Chain = obs.RenderChain(opts.Tracer.Chain(failures[i].Case.Span))
-		}
-	}
-	emitFailures(opts.OnFailure, failures)
+	publishFailures(opts, failures)
 	report := buildReport(failures)
 	if opts.Metrics != nil {
 		for _, o := range []csi.Oracle{csi.OracleWriteRead, csi.OracleErrorHandling, csi.OracleDifferential, csi.OracleVersionSkew} {
@@ -240,54 +220,116 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 	}, nil
 }
 
-// runPool drains work through n worker goroutines (n < 2 runs
-// sequentially). Workers only write into their own work item, so the
-// caller observes results in the deterministic order of the slice
-// regardless of scheduling. A cancelled ctx stops dispatching new
-// items (in-flight items finish) and returns ctx.Err(); a nil ctx
-// always drains everything.
-func runPool[T any](ctx context.Context, n int, items []T, run func(T)) error {
-	done := func() <-chan struct{} {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Done()
-	}()
-	if n > 1 {
-		var wg sync.WaitGroup
-		work := make(chan T)
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for it := range work {
-					run(it)
-				}
-			}()
-		}
+// runDeployment validates the options shared by Run and RunTables and
+// stands up the deployment the run executes on: a skew deployment when
+// opts.Versions is set, configured with opts.SparkConf and tracing into
+// opts.Tracer.
+func runDeployment(opts RunOptions) (*Deployment, error) {
+	if opts.Parallel < 0 {
+		return nil, fmt.Errorf("core: Parallel must be non-negative, got %d", opts.Parallel)
+	}
+	d := NewDeployment()
+	if opts.Versions != nil {
 		var err error
-	dispatch:
-		for _, it := range items {
+		if d, err = NewSkewDeployment(*opts.Versions); err != nil {
+			return nil, err
+		}
+	}
+	d.SetConf(opts.SparkConf)
+	if opts.Tracer != nil {
+		d.SetTracer(opts.Tracer)
+	}
+	return d, nil
+}
+
+// caseSeries names the per-case metric series of one harness entry
+// point.
+type caseSeries struct{ cases, planCases, durationMs string }
+
+var (
+	crosstestSeries = caseSeries{"crosstest_cases_total", "crosstest_plan_cases_total", "crosstest_case_duration_ms"}
+	crossfuzzSeries = caseSeries{"crossfuzz_cases_total", "crossfuzz_plan_cases_total", "crossfuzz_case_duration_ms"}
+)
+
+// timeCase runs one case and, when reg is non-nil, counts it in the
+// series' case counters and records its wall time in the series'
+// duration histogram.
+func timeCase(reg *obs.Registry, series caseSeries, plan Plan, format string, run func()) {
+	if reg == nil {
+		run()
+		return
+	}
+	started := time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
+	run()
+	reg.Counter(series.cases).Inc()
+	reg.Counter(series.planCases, "plan", plan.Name(), "format", format).Inc()
+	reg.Histogram(series.durationMs, nil, "family", plan.Family).
+		//crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
+		Observe(float64(time.Since(started)) / float64(time.Millisecond))
+}
+
+// publishFailures attaches each failure's rendered propagation chain
+// when the run traces, then forwards the failures to opts.OnFailure in
+// order.
+func publishFailures(opts RunOptions, failures []Failure) {
+	if opts.Tracer != nil {
+		for i := range failures {
+			failures[i].Chain = obs.RenderChain(opts.Tracer.Chain(failures[i].Case.Span))
+		}
+	}
+	if opts.OnFailure != nil {
+		for _, f := range failures {
+			opts.OnFailure(f)
+		}
+	}
+}
+
+// ForEach calls fn(i) for every i in [0, count) on n worker goroutines
+// (n < 2 runs sequentially, in index order). An fn that writes only
+// state owned by index i needs no locking, and its caller observes
+// results in index order regardless of scheduling. A cancelled ctx
+// stops dispatching new indexes (in-flight calls finish) and returns
+// ctx.Err(); a nil ctx always runs every index.
+func ForEach(ctx context.Context, n, count int, fn func(i int)) error {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	if n < 2 {
+		for i := 0; i < count; i++ {
 			select {
 			case <-done:
-				err = ctx.Err()
-				break dispatch
-			case work <- it:
+				return ctx.Err()
+			default:
 			}
+			fn(i)
 		}
-		close(work)
-		wg.Wait()
-		return err
+		return nil
 	}
-	for _, it := range items {
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				fn(i)
+			}
+		}()
+	}
+	var err error
+dispatch:
+	for i := 0; i < count; i++ {
 		select {
 		case <-done:
-			return ctx.Err()
-		default:
+			err = ctx.Err()
+			break dispatch
+		case work <- i:
 		}
-		run(it)
 	}
-	return nil
+	close(work)
+	wg.Wait()
+	return err
 }
 
 // rankSep joins rank fields. 0x1f sorts below every digit, letter and
@@ -311,16 +353,6 @@ func tableRank(ord int64, column int) string {
 // are emitted in tag order by applyOracles.
 func failureRank(block string, caseRank string) string {
 	return block + rankSep + caseRank
-}
-
-// emitFailures forwards failures to a streaming hook, in order.
-func emitFailures(hook func(Failure), failures []Failure) {
-	if hook == nil {
-		return
-	}
-	for _, f := range failures {
-		hook(f)
-	}
 }
 
 func applyOracles(cases []*CaseResult) []Failure {

@@ -366,6 +366,21 @@ func TestRunWideFindsCrossColumnDiscrepancies(t *testing.T) {
 			t.Errorf("wide run missed #%d: %v", want, found)
 		}
 	}
+
+	// A repeat run emits the same failures in the same order: a
+	// finding that does not replay identically is not a finding.
+	again, err := RunWide(corpus(t), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Failures) != len(res.Failures) {
+		t.Fatalf("repeat wide run: %d failures, first run %d", len(again.Failures), len(res.Failures))
+	}
+	for i := range res.Failures {
+		if a, b := res.Failures[i].Detail, again.Failures[i].Detail; a != b {
+			t.Fatalf("repeat wide run diverges at failure %d:\n  %s\n  %s", i, a, b)
+		}
+	}
 }
 
 func TestRunWideWithoutMapColumn(t *testing.T) {

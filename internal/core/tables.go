@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/csi"
 	"repro/internal/obs"
@@ -48,26 +47,12 @@ func (tc *TableCase) Results() []*CaseResult { return tc.results }
 // the same columns through different plans of a family (or different
 // formats of a plan) form a differential probe group.
 func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
-	if opts.Parallel < 0 {
-		return nil, fmt.Errorf("core: Parallel must be non-negative, got %d", opts.Parallel)
-	}
-	d := NewDeployment()
-	if opts.Versions != nil {
-		var err error
-		if d, err = NewSkewDeployment(*opts.Versions); err != nil {
-			return nil, err
-		}
-	}
-	d.SetConf(opts.SparkConf)
-	if opts.Tracer != nil {
-		d.SetTracer(opts.Tracer)
+	d, err := runDeployment(opts)
+	if err != nil {
+		return nil, err
 	}
 
 	execute := func(tc *TableCase) {
-		var started time.Time
-		if opts.Metrics != nil {
-			started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-		}
 		var span *obs.Span
 		if opts.Tracer != nil {
 			span = opts.Tracer.Span(nil, IfaceSystem(tc.Plan.Write), csi.DataPlane, tc.Plan.Name()+"/"+tc.Format).
@@ -77,23 +62,14 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 					Set(obs.AttrReaderStack, d.Pair.Reader.String())
 			}
 		}
-		write := d.writeTable(span, tc.Plan.Write, tc.Label, tc.Format, tc.Columns)
-		var outcome WideOutcome
-		outcome.WriteErr = write.Err
-		if write.Err == nil {
-			outcome = d.readTable(span, tc.Plan.Read, tc.Label)
-		}
-		span.Fail(write.Err).Fail(outcome.ReadErr).End()
-		tc.results = columnResults(tc, write, outcome)
-		if opts.Metrics != nil {
-			opts.Metrics.Counter("crossfuzz_cases_total").Inc()
-			opts.Metrics.Counter("crossfuzz_plan_cases_total", "plan", tc.Plan.Name(), "format", tc.Format).Inc()
-			opts.Metrics.Histogram("crossfuzz_case_duration_ms", nil, "family", tc.Plan.Family).
-				//crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-				Observe(float64(time.Since(started)) / float64(time.Millisecond))
-		}
+		tc.results = d.runTable(span, tc)
+		span.End()
 	}
-	if err := runPool(opts.Context, opts.Parallel, cases, execute); err != nil {
+	err = ForEach(opts.Context, opts.Parallel, len(cases), func(i int) {
+		tc := cases[i]
+		timeCase(opts.Metrics, crossfuzzSeries, tc.Plan, tc.Format, func() { execute(tc) })
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -102,13 +78,21 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 		all = append(all, tc.results...)
 	}
 	failures := applyOracles(all)
-	if opts.Tracer != nil {
-		for i := range failures {
-			failures[i].Chain = obs.RenderChain(opts.Tracer.Chain(failures[i].Case.Span))
-		}
-	}
-	emitFailures(opts.OnFailure, failures)
+	publishFailures(opts, failures)
 	return &RunResult{Cases: all, Failures: failures, Report: buildReport(failures)}, nil
+}
+
+// runTable writes tc through its plan's write interface, reads it back
+// through the read interface when the write succeeded, and returns one
+// pseudo CaseResult per column. Failures mark span (which may be nil).
+func (d *Deployment) runTable(span *obs.Span, tc *TableCase) []*CaseResult {
+	write := d.writeTable(span, tc.Plan.Write, tc.Label, tc.Format, tc.Columns)
+	var outcome WideOutcome
+	if write.Err == nil {
+		outcome = d.readTable(span, tc.Plan.Read, tc.Label)
+	}
+	span.Fail(write.Err).Fail(outcome.ReadErr)
+	return columnResults(tc, write, outcome)
 }
 
 // columnResults projects a table case's row-level write/read outcome
@@ -143,8 +127,8 @@ func columnResults(tc *TableCase, write WriteOutcome, outcome WideOutcome) []*Ca
 }
 
 // writeTable creates and populates a multi-column table through an
-// interface, keeping statement-level warnings (unlike the wide-table
-// path, the error-handling oracle needs them).
+// interface, keeping statement-level warnings for the error-handling
+// oracle.
 func (d *Deployment) writeTable(parent *obs.Span, iface Iface, table, format string, cols []WideColumn) WriteOutcome {
 	switch iface {
 	case SparkSQL, HiveQL:

@@ -45,93 +45,12 @@ func BuildWideTable(inputs []Input) []WideColumn {
 	return out
 }
 
-// WideOutcome is one interface's view of the wide table.
+// WideOutcome is one interface's view of a multi-column table.
 type WideOutcome struct {
-	WriteErr error
 	ReadErr  error
 	Row      sqlval.Row
 	Columns  []serde.Column
 	Warnings []string
-}
-
-// writeWide creates and populates the wide table through an interface.
-func (d *Deployment) writeWide(iface Iface, table, format string, cols []WideColumn) error {
-	switch iface {
-	case SparkSQL, HiveQL:
-		var defs, lits []string
-		for _, c := range cols {
-			defs = append(defs, fmt.Sprintf("%s %s", c.Name, c.Input.Type))
-			lits = append(lits, c.Input.Literal)
-		}
-		create := fmt.Sprintf("CREATE TABLE %s (%s) STORED AS %s", table, strings.Join(defs, ", "), format)
-		insert := fmt.Sprintf("INSERT INTO %s VALUES (%s)", table, strings.Join(lits, ", "))
-		if iface == SparkSQL {
-			if _, err := d.Spark.SQL(create); err != nil {
-				return err
-			}
-			_, err := d.Spark.SQL(insert)
-			return err
-		}
-		if _, err := d.Hive.Execute(create); err != nil {
-			return err
-		}
-		_, err := d.Hive.Execute(insert)
-		return err
-	case DataFrame:
-		schema := serde.Schema{}
-		row := make(sqlval.Row, len(cols))
-		for i, c := range cols {
-			schema.Columns = append(schema.Columns, serde.Column{Name: c.Name, Type: c.Input.Type})
-			row[i] = c.Input.Value
-		}
-		df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{row})
-		if err != nil {
-			return err
-		}
-		return df.SaveAsTable(table, format)
-	default:
-		return fmt.Errorf("core: unknown interface %q", iface)
-	}
-}
-
-// readWide fetches the wide table's single row.
-func (d *Deployment) readWide(iface Iface, table string) WideOutcome {
-	out := WideOutcome{}
-	switch iface {
-	case SparkSQL:
-		res, err := d.Spark.SQL(fmt.Sprintf("SELECT * FROM %s", table))
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		out.Columns, out.Warnings = res.Columns, res.Warnings
-		if len(res.Rows) > 0 {
-			out.Row = res.Rows[0]
-		}
-	case DataFrame:
-		res, err := d.Spark.Table(table)
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		out.Columns, out.Warnings = res.Columns, res.Warnings
-		if len(res.Rows) > 0 {
-			out.Row = res.Rows[0]
-		}
-	case HiveQL:
-		res, err := d.Hive.Execute(fmt.Sprintf("SELECT * FROM %s", table))
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		out.Columns, out.Warnings = res.Columns, res.Warnings
-		if len(res.Rows) > 0 {
-			out.Row = res.Rows[0]
-		}
-	default:
-		out.ReadErr = fmt.Errorf("core: unknown interface %q", iface)
-	}
-	return out
 }
 
 // WideResult is a wide-table run's outcome.
@@ -148,68 +67,41 @@ type WideResult struct {
 // column's outcome across formats within a plan.
 func RunWide(inputs []Input, opts RunOptions) (*WideResult, error) {
 	d := NewDeployment()
-	for k, v := range opts.SparkConf {
-		d.Spark.Conf().Set(k, v)
-	}
+	d.SetConf(opts.SparkConf)
 	cols := BuildWideTable(inputs)
+	plans := Plans()
 	var failures []Failure
 
-	type cellKey struct {
-		plan string
-		col  int
-	}
-	cells := map[cellKey]map[string]*CaseResult{} // format -> pseudo case
-
-	for _, plan := range Plans() {
+	// cells[plan][column] holds the column's pseudo case per format, in
+	// Formats() order: the differential oracle's probe groups.
+	cells := make([][][]*CaseResult, len(plans))
+	for pi, plan := range plans {
+		cells[pi] = make([][]*CaseResult, len(cols))
 		for _, format := range Formats() {
-			table := fmt.Sprintf("wide_%s_%s", plan.Name(), format)
-			writeErr := d.writeWide(plan.Write, table, format, cols)
-			var outcome WideOutcome
-			if writeErr != nil {
-				outcome.WriteErr = writeErr
-			} else {
-				outcome = d.readWide(plan.Read, table)
-			}
-			for i, col := range cols {
-				in := col.Input
-				pseudo := &CaseResult{
-					Input:  &in,
-					Plan:   plan,
-					Format: format,
-					Table:  table,
-					Write:  WriteOutcome{Err: writeErr},
-				}
-				pseudo.Read.Err = outcome.ReadErr
-				if outcome.ReadErr == nil && writeErr == nil && i < len(outcome.Row) {
-					pseudo.Read.HasRow = true
-					pseudo.Read.Value = outcome.Row[i]
-				}
-				key := cellKey{plan.Name(), i}
-				if cells[key] == nil {
-					cells[key] = map[string]*CaseResult{}
-				}
-				cells[key][format] = pseudo
+			tc := &TableCase{Label: fmt.Sprintf("wide_%s_%s", plan.Name(), format), Columns: cols, Plan: plan, Format: format}
+			for i, pseudo := range d.runTable(nil, tc) {
+				cells[pi][i] = append(cells[pi][i], pseudo)
 
 				// Per-column write-read oracle.
 				switch {
-				case writeErr != nil:
+				case pseudo.Write.Err != nil:
 					failures = append(failures, Failure{
 						Oracle: csi.OracleWriteRead, Case: pseudo,
-						Signature: classifyError(writeErr),
-						Detail:    fmt.Sprintf("wide write failed: %v", writeErr),
+						Signature: classifyError(pseudo.Write.Err),
+						Detail:    fmt.Sprintf("wide write failed: %v", pseudo.Write.Err),
 					})
-				case outcome.ReadErr != nil:
+				case pseudo.Read.Err != nil:
 					failures = append(failures, Failure{
 						Oracle: csi.OracleWriteRead, Case: pseudo,
-						Signature: classifyError(outcome.ReadErr),
-						Detail:    fmt.Sprintf("wide read failed: %v", outcome.ReadErr),
+						Signature: classifyError(pseudo.Read.Err),
+						Detail:    fmt.Sprintf("wide read failed: %v", pseudo.Read.Err),
 					})
-				case pseudo.Read.HasRow && !pseudo.Read.Value.EqualData(in.Expected):
+				case pseudo.Read.HasRow && !pseudo.Read.Value.EqualData(pseudo.Input.Expected):
 					failures = append(failures, Failure{
 						Oracle: csi.OracleWriteRead, Case: pseudo,
-						Signature: classifyValueDiff(in.Expected, pseudo.Read.Value),
+						Signature: classifyValueDiff(pseudo.Input.Expected, pseudo.Read.Value),
 						Detail: fmt.Sprintf("column %s: wrote %s, read %s",
-							col.Name, in.Expected, pseudo.Read.Value),
+							cols[i].Name, pseudo.Input.Expected, pseudo.Read.Value),
 					})
 				}
 			}
@@ -217,25 +109,22 @@ func RunWide(inputs []Input, opts RunOptions) (*WideResult, error) {
 	}
 
 	// Differential oracle across formats per (plan, column).
-	for _, group := range cells {
-		var list []*CaseResult
-		for _, format := range Formats() {
-			if c, ok := group[format]; ok {
-				list = append(list, c)
+	for _, byColumn := range cells {
+		for _, group := range byColumn {
+			base := group[0]
+			baseKey := outcomeKey(base)
+			for _, peer := range group[1:] {
+				peerKey := outcomeKey(peer)
+				if peerKey == baseKey {
+					continue
+				}
+				failures = append(failures, Failure{
+					Oracle: csi.OracleDifferential, Case: base, Peer: peer,
+					Signature: classifyDiffPair(base, peer),
+					Detail: fmt.Sprintf("wide column inconsistent across formats: %s [%s] vs %s [%s]",
+						base.Describe(), baseKey, peer.Describe(), peerKey),
+				})
 			}
-		}
-		base := list[0]
-		baseKey := outcomeKey(base)
-		for _, peer := range list[1:] {
-			if outcomeKey(peer) == baseKey {
-				continue
-			}
-			failures = append(failures, Failure{
-				Oracle: csi.OracleDifferential, Case: base, Peer: peer,
-				Signature: classifyDiffPair(base, peer),
-				Detail: fmt.Sprintf("wide column inconsistent across formats: %s [%s] vs %s [%s]",
-					base.Describe(), baseKey, peer.Describe(), outcomeKey(peer)),
-			})
 		}
 	}
 	return &WideResult{Columns: cols, Failures: failures, Report: buildReport(failures)}, nil

@@ -1,9 +1,9 @@
 package loadgen
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/fuzzgen"
@@ -136,10 +136,6 @@ func RunPhaseDiagram(opts PhaseOptions) (*PhaseResult, error) {
 			return nil, fmt.Errorf("loadgen: peak rps must be positive, got %d", p)
 		}
 	}
-	if opts.Parallel <= 0 {
-		opts.Parallel = 1
-	}
-
 	// Precompute each column's arrival schedule once; every row shares
 	// the same backing slice (read-only inside Run).
 	schedules := make(map[int64][]int64, len(peaks))
@@ -158,9 +154,10 @@ func RunPhaseDiagram(opts PhaseOptions) (*PhaseResult, error) {
 		}
 	}
 	cells := make([]Cell, len(coords))
-	var firstErr error
-	var errMu sync.Mutex
-	runCell := func(i int) {
+	errs := make([]error, len(coords))
+	// Cells report failure through errs: with a context that never
+	// cancels, ForEach runs every cell and returns nil.
+	_ = core.ForEach(context.TODO(), opts.Parallel, len(coords), func(i int) {
 		co := coords[i]
 		spec, peak := specs[co.row], peaks[co.col]
 		cfg := CellConfig(opts.Seed, spec, peak, opts.Admission)
@@ -169,41 +166,16 @@ func RunPhaseDiagram(opts PhaseOptions) (*PhaseResult, error) {
 		cfg.Metrics = opts.Metrics
 		stats, err := Run(cfg)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
+			errs[i] = err
 			return
 		}
 		cls := Classify(stats, cfg.Server, cfg.WindowMs, OverloadEndMs(cfg.Curve, cfg.HorizonMs), spec.Policy.Jittered())
 		cells[i] = Cell{Policy: spec.Label, PeakRPS: peak, Stats: stats, Classification: cls}
-	}
-
-	if opts.Parallel == 1 {
-		for i := range coords {
-			runCell(i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < opts.Parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runCell(i)
-				}
-			}()
-		}
-		for i := range coords {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	res := &PhaseResult{Seed: opts.Seed, Admission: opts.Admission, PeakRPS: peaks}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -189,5 +190,17 @@ func TestStripExemplar(t *testing.T) {
 		if got := stripExemplar(in); got != want {
 			t.Errorf("stripExemplar(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestWriteMetricsFileMissingDir: the -metrics destination of every
+// CLI goes through WriteMetricsFile, which must report an unwritable
+// path instead of exiting successfully with nothing written.
+func TestWriteMetricsFileMissingDir(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("runs_total").Inc()
+	dest := filepath.Join(t.TempDir(), "missing", "metrics.prom")
+	if err := WriteMetricsFile(r, dest); err == nil {
+		t.Fatalf("WriteMetricsFile(%s) succeeded into a missing directory", dest)
 	}
 }

@@ -24,10 +24,10 @@ package partition
 // and repeated runs.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/csi"
@@ -81,6 +81,11 @@ type Options struct {
 	HoldMs    int64    // random-cut hold before healing (default 1000)
 	Parallel  int      // concurrent units (default 1)
 	Schedule  []Cut    // StrategyFixed's schedule
+
+	// Context, when non-nil, makes the campaign cancellable: no new
+	// unit is dispatched after cancellation and Run returns ctx.Err()
+	// with no result. Nil means run to completion.
+	Context context.Context
 
 	Tracer    *obs.Tracer
 	Metrics   *obs.Registry
@@ -353,9 +358,6 @@ func Run(opts Options) (*Result, error) {
 	if opts.HoldMs <= 0 {
 		opts.HoldMs = defaultHoldMs
 	}
-	if opts.Parallel <= 0 {
-		opts.Parallel = 1
-	}
 	if opts.Strategy == StrategyFixed && len(opts.Schedule) == 0 {
 		return nil, fmt.Errorf("partition: strategy %q needs a non-empty schedule", StrategyFixed)
 	}
@@ -388,28 +390,12 @@ func Run(opts Options) (*Result, error) {
 	}
 
 	results := make([]unitResult, len(units))
-	if opts.Parallel == 1 {
-		for i, u := range units {
-			results[i] = runUnit(scs[u.scIdx], u.mode, u.trial, opts)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < opts.Parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					u := units[i]
-					results[i] = runUnit(scs[u.scIdx], u.mode, u.trial, opts)
-				}
-			}()
-		}
-		for i := range units {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	err = core.ForEach(opts.Context, opts.Parallel, len(units), func(i int) {
+		u := units[i]
+		results[i] = runUnit(scs[u.scIdx], u.mode, u.trial, opts)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Deterministic assembly, in scenario order then mode then trial —

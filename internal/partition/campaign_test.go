@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -210,6 +212,17 @@ func TestCampaignErrors(t *testing.T) {
 	}
 	if _, err := PlanRandom(1, []string{"nope"}, 1, 1); err == nil {
 		t.Error("PlanRandom accepted an unknown scenario")
+	}
+
+	// A cancelled campaign dispatches no further unit and returns no
+	// result, sequential or parallel.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, parallel := range []int{1, 4} {
+		res, err := Run(Options{Seed: goldenSeed, Strategy: StrategyCompare, Parallel: parallel, Context: ctx})
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("Run(Parallel %d) under a cancelled context = %v, %v; want nil, context.Canceled", parallel, res, err)
+		}
 	}
 }
 

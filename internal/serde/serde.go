@@ -155,10 +155,11 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// count reads a collection length and validates it against the bytes
-// remaining: every element needs at least one byte, so a larger count
-// is corruption — without this check a hostile length would drive an
-// enormous allocation.
+// count reads a collection or byte-string length and validates it
+// against the bytes remaining: every element needs at least one byte,
+// so a larger count is corruption — without this check a hostile
+// length would drive an enormous allocation, or wrap negative in int
+// and slip past a bounds check.
 func (r *reader) count() (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
@@ -180,15 +181,12 @@ func (r *reader) varint() (int64, error) {
 }
 
 func (r *reader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
+	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
-	if r.pos+int(n) > len(r.buf) {
-		return nil, errCorrupt
-	}
-	b := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
+	b := r.buf[r.pos : r.pos+n]
+	r.pos += n
 	return b, nil
 }
 

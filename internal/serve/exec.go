@@ -136,10 +136,8 @@ func (e *Executor) Execute(ctx context.Context, spec JobSpec, onFailure func(cor
 		res.Skew = skewJSON(m)
 		res.Rendered = m.Render()
 	case KindPartition:
-		// Campaigns run on the virtual clock and finish in milliseconds
-		// of wall time, so they are not cancellable mid-run; ctx is
-		// honored at the admission boundary like every other kind.
 		pres, err := partition.Run(partition.Options{
+			Context:   ctx,
 			Seed:      spec.Seed,
 			Scenarios: spec.Scenarios,
 			Strategy:  partition.Strategy(spec.Strategy),

@@ -126,9 +126,9 @@ func (j *Job) Subscribe() ([]StreamEvent, <-chan StreamEvent) {
 }
 
 // emit appends an event and fans it out. Slow subscribers lose events
-// (non-blocking send) rather than stalling the worker; the history
-// replay on subscribe keeps the NDJSON stream complete for readers
-// that connect after the fact.
+// (non-blocking send) rather than stalling the worker; the stream
+// handler refills such gaps, and readers that connect after the fact,
+// from the history.
 func (j *Job) emit(ev StreamEvent) {
 	j.mu.Lock()
 	ev.Seq = len(j.events)
@@ -143,6 +143,17 @@ func (j *Job) emit(ev StreamEvent) {
 		default:
 		}
 	}
+}
+
+// eventsSince returns a copy of the job's events from sequence number
+// seq on.
+func (j *Job) eventsSince(seq int) []StreamEvent {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if seq >= len(j.events) {
+		return nil
+	}
+	return append([]StreamEvent(nil), j.events[seq:]...)
 }
 
 func (j *Job) closeSubs() {

@@ -256,30 +256,43 @@ func TestDrainDeadlineCancelsRunning(t *testing.T) {
 	}
 }
 
-// A job timeout cancels the run; nothing is cached for its key.
+// A job timeout cancels the run; nothing is cached for its key. Every
+// job kind honours it, partition campaigns on the real executor too.
 func TestJobTimeoutCancelsAndSkipsCache(t *testing.T) {
-	runner := newBlockingRunner() // never released: only ctx can end it
-	s, _ := newTestScheduler(t, SchedulerOptions{
-		Workers:    1,
-		QueueDepth: 4,
-		JobTimeout: 30 * time.Millisecond,
-		Executor:   runner,
-	})
-	spec := JobSpec{Kind: KindFuzz, Seed: 42, N: 10}
-	job, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, job)
-	if st := job.Status(); st.State != StateCancelled {
-		t.Fatalf("timed-out job state = %s (%s)", st.State, st.Error)
-	}
-	key, _ := spec.CacheKey()
-	if _, ok := s.opts.Cache.Get(key); ok {
-		t.Error("cancelled job left a cached (partial) result")
-	}
-	if _, done := job.Result(); done {
-		t.Error("cancelled job claims a result")
+	for _, tc := range []struct {
+		name    string
+		runner  Runner
+		timeout time.Duration
+		spec    JobSpec
+	}{
+		// Never released: only ctx can end it.
+		{"blocking", newBlockingRunner(), 30 * time.Millisecond, JobSpec{Kind: KindFuzz, Seed: 42, N: 10}},
+		// The deadline has passed before the campaign's first unit.
+		{"partition", &Executor{}, time.Nanosecond, partitionSpec()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newTestScheduler(t, SchedulerOptions{
+				Workers:    1,
+				QueueDepth: 4,
+				JobTimeout: tc.timeout,
+				Executor:   tc.runner,
+			})
+			job, err := s.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, job)
+			if st := job.Status(); st.State != StateCancelled {
+				t.Fatalf("timed-out job state = %s (%s)", st.State, st.Error)
+			}
+			key, _ := tc.spec.CacheKey()
+			if _, ok := s.opts.Cache.Get(key); ok {
+				t.Error("cancelled job left a cached (partial) result")
+			}
+			if _, done := job.Result(); done {
+				t.Error("cancelled job claims a result")
+			}
+		})
 	}
 }
 

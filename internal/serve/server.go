@@ -177,7 +177,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
+	next := 0 // Seq of the next event the reader has not seen
 	write := func(ev StreamEvent) bool {
+		if ev.Seq < next {
+			return true // already written while filling a gap
+		}
+		next = ev.Seq + 1
 		if err := enc.Encode(ev); err != nil {
 			return false
 		}
@@ -195,8 +200,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case ev, open := <-live:
-			if !open {
-				return
+			if !open || ev.Seq > next {
+				// emit drops the events a slow reader had no buffer
+				// room for; the job's history still holds them.
+				for _, missed := range job.eventsSince(next) {
+					if !write(missed) {
+						return
+					}
+				}
+				if !open {
+					return
+				}
 			}
 			if !write(ev) {
 				return
